@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the sorting kernels (PARADIS-like vs RADULS-like vs
-//! sample sort vs std unstable sort) on k-mer-like 64-bit keys.
+//! std unstable sort) on k-mer-like 64-bit keys.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -37,13 +37,6 @@ fn bench_sorts(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(BenchmarkId::new("sample_sort", n), &input, |b, input| {
-            b.iter(|| {
-                let mut v = input.clone();
-                hysortk_sort::sample_sort_by_key(&mut v, 8, |x| *x);
-                v
-            })
-        });
         group.bench_with_input(BenchmarkId::new("std_unstable", n), &input, |b, input| {
             b.iter(|| {
                 let mut v = input.clone();

@@ -2,10 +2,10 @@
 //!
 //! The collectives follow MPI semantics in SPMD style: every rank must call the same
 //! sequence of collectives with compatible types, and each call is a synchronisation
-//! point. Data moves through the rank's [`Transport`] — byte segments between
+//! point. Data moves through the rank's `Transport` — byte segments between
 //! rank-private buffers — so a rank can only observe another rank's data by receiving
 //! it through a collective, mirroring real distributed memory. Payloads of the
-//! matrix collectives are encoded with the [`Wire`](crate::wire::Wire) codec; the
+//! matrix collectives are encoded with the [`crate::wire::Wire`] codec; the
 //! hot flat exchanges reinterpret [`Pod`] element buffers as bytes directly.
 //!
 //! Every collective returns `Result<_, DmemError>`: when any rank fails (panics, hits

@@ -4,7 +4,7 @@
 //! substitutes a self-contained distributed-memory runtime: every rank has its own
 //! private data, and the MPI collectives the pipelines need (`Alltoallv`, padded
 //! `Alltoall` in rounds, `Allreduce`, `Allgather`, `Barrier`)
-//! move real bytes between rank-private buffers through a [`transport::Transport`].
+//! move real bytes between rank-private buffers through a crate-private `Transport`.
 //! No data is shared behind the ranks' backs — a rank can only obtain another rank's
 //! data through a collective, exactly as in MPI — so algorithmic behaviour (who sends
 //! what to whom, how many rounds, how much padding) is preserved. Two backends exist

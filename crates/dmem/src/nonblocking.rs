@@ -4,7 +4,7 @@
 //! batched rounds and posts each round with a *non-blocking* all-to-all, so the encode
 //! of the next round and the decode of the previous one proceed while a round is in
 //! flight. [`RoundExchange`] is that primitive, running over whichever
-//! [`Transport`](crate::transport::Transport) backs the cluster:
+//! crate-private `Transport` backs the cluster:
 //!
 //! * [`RoundExchange::post_round`] hands one round's flat send segments to the
 //!   transport and **returns immediately** — no barrier, no waiting for the

@@ -19,10 +19,11 @@
 //!
 //! Peer frames are length-prefixed: `[kind u8][tag u64 LE][len u32 LE][payload]`
 //! with kinds `DATA`, `ABORT` (tag = origin rank, payload = detail) and `FIN`
-//! (clean goodbye). The tag spaces of collectives, round exchanges and barrier
-//! phases are disjoint (high bits 63/62/61); within each space the SPMD calling
-//! discipline makes per-rank sequence counters agree across ranks, so frames
-//! match up without any negotiation. A per-peer reader thread drains every
+//! (clean goodbye); a payload of 4 GiB or more is refused, never wrapped. The
+//! tag spaces of collectives, round exchanges and barrier phases are disjoint
+//! (high bits 63/62/61); within each space the SPMD calling discipline makes
+//! per-rank sequence counters agree across ranks, so frames match up without
+//! any negotiation. A per-peer reader thread drains every
 //! frame into a tag-keyed mailbox the moment it arrives — receivers never
 //! leave bytes sitting in a kernel socket buffer, which is what rules out
 //! buffer-full deadlocks in the all-to-all.
@@ -214,7 +215,7 @@ impl ProcessTransport {
         let mut hdr = [0u8; 13];
         hdr[0] = kind;
         hdr[1..9].copy_from_slice(&tag.to_le_bytes());
-        hdr[9..13].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        hdr[9..13].copy_from_slice(&frame_len(payload.len())?.to_le_bytes());
         let writer = self.writers[dst].as_ref().expect("no socket to self");
         let mut stream = writer.lock().unwrap_or_else(|e| e.into_inner());
         stream.write_all(&hdr)?;
@@ -234,7 +235,13 @@ impl ProcessTransport {
         payload: &[u8],
         round: usize,
     ) -> Result<(), DmemError> {
-        if self.send_frame(dst, FRAME_DATA, tag, payload).is_err() {
+        if let Err(e) = self.send_frame(dst, FRAME_DATA, tag, payload) {
+            if e.kind() == std::io::ErrorKind::InvalidInput {
+                // The payload itself is at fault, not `dst`: fail this rank.
+                let detail = format!("rank {}: {e}", self.rank);
+                self.publish_abort(self.rank, &detail);
+                return Err(DmemError::Protocol(detail));
+            }
             let start = Instant::now();
             loop {
                 if let Some(e) = self.abort.peer_failure(round) {
@@ -571,10 +578,21 @@ pub(crate) struct ProcessOutcome<T, E> {
     pub(crate) panic: Option<(usize, String)>,
 }
 
+/// The `u32` length header of a peer or control frame. A payload of 4 GiB or more
+/// is refused: a wrapped length would desynchronise the stream.
+fn frame_len(len: usize) -> std::io::Result<u32> {
+    u32::try_from(len).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "frame payload exceeds 4 GiB",
+        )
+    })
+}
+
 fn send_ctl(stream: &mut UnixStream, kind: u8, payload: &[u8]) -> std::io::Result<()> {
     let mut hdr = [0u8; 5];
     hdr[0] = kind;
-    hdr[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    hdr[1..5].copy_from_slice(&frame_len(payload.len())?.to_le_bytes());
     stream.write_all(&hdr)?;
     stream.write_all(payload)
 }
@@ -835,6 +853,15 @@ where
 mod tests {
     use super::*;
     use crate::{Backend, Cluster, FlatReceived};
+
+    #[test]
+    fn frame_lengths_beyond_u32_are_refused_not_wrapped() {
+        let max = u32::MAX as usize;
+        assert_eq!(frame_len(max).unwrap(), u32::MAX);
+        let err = frame_len(max + 1).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(err.to_string(), "frame payload exceeds 4 GiB");
+    }
 
     #[test]
     fn process_backend_collectives_agree_with_the_thread_backend() {

@@ -2,14 +2,14 @@
 //!
 //! Everything above this trait — the typed collectives, their traffic accounting,
 //! fault injection, and the non-blocking round engine — is transport-agnostic. A
-//! [`Transport`] moves flat byte segments between ranks and answers the two
+//! `Transport` moves flat byte segments between ranks and answers the two
 //! cluster-wide control questions (has anyone aborted? can everyone synchronise?).
 //! Two implementations exist:
 //!
-//! * [`InProcessTransport`](crate::inprocess::InProcessTransport) — every rank is a
+//! * `InProcessTransport` — every rank is a
 //!   thread in one address space, data moves through a shared exchange board. This
 //!   is the original simulator, behavior-identical down to its error strings.
-//! * [`ProcessTransport`](crate::process::ProcessTransport) — every rank is a
+//! * `ProcessTransport` — every rank is a
 //!   `fork()`ed OS process and segments move as real bytes over UNIX domain
 //!   sockets, so overlap wins are *measured* transfer time, not modeled.
 //!

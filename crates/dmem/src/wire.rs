@@ -2,9 +2,9 @@
 //!
 //! The in-process backend used to move typed values between ranks as `Box<dyn Any>`
 //! postings — possible only because every rank shared one address space. A
-//! [`Transport`](crate::transport::Transport) moves *bytes*, so every payload of a
-//! matrix collective, and every per-rank result returned out of a forked rank
-//! process, needs an explicit encoding. [`Wire`] is that encoding: a minimal,
+//! `Transport` moves *bytes*, so every payload of a matrix collective, and every
+//! per-rank result returned out of a forked rank process, needs an explicit
+//! encoding. [`Wire`] is that encoding: a minimal,
 //! dependency-free, little-endian format with just enough structure (length
 //! prefixes, variant tags) for the receiving side to reject malformed input with
 //! `None` instead of misinterpreting it.
@@ -145,9 +145,13 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn decode(input: &mut &[u8]) -> Option<Self> {
         let len = get_len(input)?;
-        // Guard the pre-allocation against adversarial lengths: each element costs
-        // at least one input byte in this format.
-        let mut items = Vec::with_capacity(len.min(input.len()));
+        // Every element costs at least one input byte in this format, so a longer
+        // length is malformed; and the pre-allocation never exceeds the input bytes
+        // that remain, whatever the length claims.
+        if len > input.len() {
+            return None;
+        }
+        let mut items = Vec::with_capacity(len.min(input.len() / std::mem::size_of::<T>().max(1)));
         for _ in 0..len {
             items.push(T::decode(input)?);
         }

@@ -85,7 +85,7 @@ pub fn path_name() -> &'static str {
 
 /// Scalar reference: pack 32 ASCII bases into one little-position-order word (base `j`
 /// at bits `2*j`), mapping unknown characters to `A` exactly like
-/// [`encode_base`](crate::base::encode_base).
+/// [`crate::base::encode_base`].
 #[inline]
 pub fn pack_block32_scalar(chunk: &[u8; 32]) -> u64 {
     let mut w = 0u64;

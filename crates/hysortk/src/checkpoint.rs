@@ -10,13 +10,31 @@
 //! decode counters, per-task decoded totals). The bulk-synchronous path writes a
 //! single manifest covering its one exchange.
 //!
+//! # Format
+//!
+//! A manifest file is a small envelope around one `dmem::wire` value, the same
+//! codec that carries every other value across a transport boundary:
+//!
+//! ```text
+//! "HSKC" | version: u32 = 2 | K::WORDS: u64 | body: Manifest<K> | checksum: u32
+//! ```
+//!
+//! The body holds the identity and link fields (fingerprint, rank, rank count,
+//! epoch, `prev_epoch`, planned rounds, task-size hash), the cumulative scratch
+//! snapshot and the delta of counted tasks, whose `(k-mer, count)` lists use the
+//! crate's one count-list codec. The trailing checksum covers every preceding byte.
+//! Unsealing checks length, checksum, magic, version and k-mer word width, then
+//! requires the body to decode exactly, with nothing left over. A manifest of another
+//! version, including one written by an older build, is unusable like a corrupt one:
+//! restore falls back past it and never misreads it.
+//!
 //! # Durability
 //!
 //! Manifests are written torn-write-safe: the bytes go to a `.tmp` sibling, are
 //! fsynced, and only then renamed onto the final `ckpt-e{epoch}-r{rank}.bin` name — a
 //! crash mid-write leaves either the previous manifest set or a dangling `.tmp` that
-//! restore ignores. Every manifest ends in a checksum over its whole body, so a
-//! bit-flipped or truncated file is detected at parse time.
+//! restore ignores. The checksum trailer means a bit-flipped or truncated file is
+//! detected at parse time.
 //!
 //! # Restore
 //!
@@ -30,12 +48,14 @@
 //! rejects manifests written by a different configuration loudly, and the stored hash
 //! of the all-reduced task sizes rejects a changed input.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use hysortk_dmem::wire::{self, Wire};
 use hysortk_dmem::FaultPlan;
 use hysortk_dmem::RankCtx;
 use hysortk_dna::kmer::KmerCode;
@@ -46,31 +66,14 @@ use crate::config::HySortKConfig;
 use crate::error::HysortkError;
 use crate::result::KmerHistogram;
 use crate::stage3::{CountScratch, TaskCounts};
+use crate::wire::{checksum32, checksum64, decode_counts, encode_counts};
 
 /// Leading magic of every manifest.
 const MAGIC: &[u8; 4] = b"HSKC";
-/// Format version; bumped on any layout change.
-const VERSION: u32 = 1;
-
-/// The multiply–rotate fold shared with the wire layer, kept at 64 bits: not
-/// cryptographic, but any single bit flip, truncation or length change moves it.
-fn fold64(bytes: &[u8]) -> u64 {
-    let mut h = 0x9e37_79b9_7f4a_7c15u64;
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        h = (h ^ u64::from_le_bytes(w))
-            .wrapping_mul(0x0100_0000_01b3)
-            .rotate_left(23);
-    }
-    h ^ bytes.len() as u64
-}
-
-/// Trailer checksum over a manifest body.
-fn manifest_checksum(bytes: &[u8]) -> u32 {
-    let h = fold64(bytes);
-    (h ^ (h >> 32)) as u32
-}
+/// Envelope version; bumped on any layout change.
+const VERSION: u32 = 2;
+/// Envelope bytes around the body: magic, version, k-mer words, checksum.
+const ENVELOPE_BYTES: usize = MAGIC.len() + 4 + 8 + 4;
 
 /// Hash of the all-reduced global task sizes: a changed input (different files,
 /// different shard contents) changes some task size and is rejected at restore time.
@@ -79,7 +82,7 @@ pub(crate) fn sizes_hash(global_sizes: &[u64]) -> u64 {
     for &s in global_sizes {
         bytes.extend_from_slice(&s.to_le_bytes());
     }
-    fold64(&bytes)
+    checksum64(&bytes)
 }
 
 /// Fingerprint of everything that shapes the deterministic round structure and the
@@ -109,7 +112,7 @@ pub(crate) fn run_fingerprint<K: KmerCode>(cfg: &HySortKConfig, num_tasks: usize
     push(u64::from(cfg.heavy_hitter.enabled));
     push(cfg.heavy_hitter.factor.to_bits());
     push(cfg.data_scale.to_bits());
-    fold64(&bytes)
+    checksum64(&bytes)
 }
 
 /// Final on-disk name of one rank's manifest for one epoch.
@@ -133,11 +136,12 @@ fn parse_manifest_name(name: &str) -> Option<(usize, usize)> {
     Some((epoch.parse().ok()?, rank.parse().ok()?))
 }
 
-/// One decoded manifest.
-struct Manifest<K: KmerCode> {
+/// One epoch manifest. Commits borrow the driver's counted tasks; restore decodes
+/// owned copies.
+struct Manifest<'a, K: KmerCode> {
+    fingerprint: u64,
     rank: usize,
     ranks: usize,
-    fingerprint: u64,
     epoch: usize,
     prev_epoch: Option<usize>,
     rounds_total: usize,
@@ -145,195 +149,95 @@ struct Manifest<K: KmerCode> {
     // Cumulative scratch snapshot at this epoch.
     received_records: u64,
     precounted_records: u64,
-    histogram: Vec<u64>,
+    histogram: KmerHistogram,
     decoded: Vec<(u32, u64)>,
     // Delta since `prev_epoch`.
     task_sizes: Vec<u64>,
-    tasks: Vec<TaskCounts<K>>,
+    tasks: Cow<'a, [TaskCounts<K>]>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn encode_manifest<K: KmerCode>(
-    fingerprint: u64,
-    rank: usize,
-    ranks: usize,
-    epoch: usize,
-    prev_epoch: Option<usize>,
-    rounds_total: usize,
-    sizes_hash: u64,
-    received_records: u64,
-    precounted_records: u64,
-    histogram: &[u64],
-    decoded: &BTreeMap<u32, u64>,
-    delta_sizes: &[u64],
-    delta_tasks: &[TaskCounts<K>],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256 + delta_tasks.len() * 64);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out.extend_from_slice(&(rank as u32).to_le_bytes());
-    out.extend_from_slice(&(ranks as u32).to_le_bytes());
-    out.extend_from_slice(&(epoch as u32).to_le_bytes());
-    let prev: i64 = prev_epoch.map_or(-1, |e| e as i64);
-    out.extend_from_slice(&prev.to_le_bytes());
-    out.extend_from_slice(&(rounds_total as u32).to_le_bytes());
-    out.extend_from_slice(&sizes_hash.to_le_bytes());
-    out.extend_from_slice(&(K::WORDS as u32).to_le_bytes());
-    out.extend_from_slice(&received_records.to_le_bytes());
-    out.extend_from_slice(&precounted_records.to_le_bytes());
-    out.extend_from_slice(&(histogram.len() as u32).to_le_bytes());
-    for &b in histogram {
-        out.extend_from_slice(&b.to_le_bytes());
-    }
-    out.extend_from_slice(&(decoded.len() as u32).to_le_bytes());
-    for (&task, &instances) in decoded {
-        out.extend_from_slice(&task.to_le_bytes());
-        out.extend_from_slice(&instances.to_le_bytes());
-    }
-    out.extend_from_slice(&(delta_sizes.len() as u32).to_le_bytes());
-    for &s in delta_sizes {
-        out.extend_from_slice(&s.to_le_bytes());
-    }
-    out.extend_from_slice(&(delta_tasks.len() as u32).to_le_bytes());
-    for task in delta_tasks {
-        out.extend_from_slice(&(task.counts.len() as u32).to_le_bytes());
-        for (km, count) in &task.counts {
-            for &w in km.word_slice() {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            out.extend_from_slice(&count.to_le_bytes());
+impl<K: KmerCode> Wire for Manifest<'_, K> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.fingerprint.encode(out);
+        self.rank.encode(out);
+        self.ranks.encode(out);
+        self.epoch.encode(out);
+        self.prev_epoch.encode(out);
+        self.rounds_total.encode(out);
+        self.sizes_hash.encode(out);
+        self.received_records.encode(out);
+        self.precounted_records.encode(out);
+        self.histogram.encode(out);
+        self.decoded.encode(out);
+        self.task_sizes.encode(out);
+        self.tasks.len().encode(out);
+        for task in self.tasks.iter() {
+            encode_counts(&task.counts, out);
         }
     }
-    let checksum = manifest_checksum(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(Manifest {
+            fingerprint: u64::decode(input)?,
+            rank: usize::decode(input)?,
+            ranks: usize::decode(input)?,
+            epoch: usize::decode(input)?,
+            prev_epoch: Option::decode(input)?,
+            rounds_total: usize::decode(input)?,
+            sizes_hash: u64::decode(input)?,
+            received_records: u64::decode(input)?,
+            precounted_records: u64::decode(input)?,
+            histogram: KmerHistogram::decode(input)?,
+            decoded: Vec::decode(input)?,
+            task_sizes: Vec::decode(input)?,
+            tasks: Cow::Owned(
+                (0..usize::decode(input)?)
+                    .map(|_| decode_counts(input).map(|counts| TaskCounts { counts, ext: None }))
+                    .collect::<Option<_>>()?,
+            ),
+        })
+    }
+}
+
+/// Seal a manifest into its file bytes: the envelope header, the `dmem::wire` body
+/// and the checksum trailer.
+fn seal<K: KmerCode>(manifest: &Manifest<'_, K>) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    VERSION.encode(&mut out);
+    K::WORDS.encode(&mut out);
+    manifest.encode(&mut out);
+    let checksum = checksum32(&out);
+    checksum.encode(&mut out);
     out
 }
 
-/// Little-endian field reader over a manifest body.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("manifest truncated at byte {}", self.pos))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+/// Check a manifest file's envelope and decode its body. Every defect is an error
+/// naming it; nothing is allocated beyond what the input bytes back.
+fn unseal<K: KmerCode>(bytes: &[u8]) -> Result<Manifest<'static, K>, String> {
+    if bytes.len() < ENVELOPE_BYTES {
+        return Err("manifest shorter than its envelope".into());
     }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A length prefix, sanity-bounded so a corrupt count cannot drive a huge
-    /// allocation before the element reads fail.
-    fn len(&mut self) -> Result<usize, String> {
-        let n = self.u32()? as usize;
-        let remaining = self.bytes.len() - self.pos;
-        if n > remaining {
-            return Err(format!("manifest length field {n} exceeds remaining bytes"));
-        }
-        Ok(n)
-    }
-}
-
-fn decode_manifest<K: KmerCode>(bytes: &[u8]) -> Result<Manifest<K>, String> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err("manifest shorter than its magic and checksum".into());
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-    if manifest_checksum(body) != stored {
+    let (sealed, trailer) = bytes.split_at(bytes.len() - 4);
+    if wire::from_bytes::<u32>(trailer) != Some(checksum32(sealed)) {
         return Err("manifest checksum mismatch (torn write or bit corruption)".into());
     }
-    let mut r = Reader {
-        bytes: body,
-        pos: 0,
-    };
-    if r.take(4)? != MAGIC {
+    let (magic, mut body) = sealed.split_at(MAGIC.len());
+    if magic != MAGIC {
         return Err("not a checkpoint manifest (bad magic)".into());
     }
-    let version = r.u32()?;
+    let version = u32::decode(&mut body).expect("the length check covers the header");
     if version != VERSION {
         return Err(format!("unsupported manifest version {version}"));
     }
-    let fingerprint = r.u64()?;
-    let rank = r.u32()? as usize;
-    let ranks = r.u32()? as usize;
-    let epoch = r.u32()? as usize;
-    let prev = r.i64()?;
-    let prev_epoch = if prev < 0 { None } else { Some(prev as usize) };
-    let rounds_total = r.u32()? as usize;
-    let sizes_hash = r.u64()?;
-    let words = r.u32()? as usize;
+    let words = usize::decode(&mut body).expect("the length check covers the header");
     if words != K::WORDS {
         return Err(format!(
             "manifest stores {words}-word k-mers, the run uses {}",
             K::WORDS
         ));
     }
-    let received_records = r.u64()?;
-    let precounted_records = r.u64()?;
-    let histogram: Vec<u64> = (0..r.len()?).map(|_| r.u64()).collect::<Result<_, _>>()?;
-    let ndecoded = r.len()?;
-    let mut decoded = Vec::with_capacity(ndecoded);
-    for _ in 0..ndecoded {
-        let task = r.u32()?;
-        let instances = r.u64()?;
-        decoded.push((task, instances));
-    }
-    let task_sizes: Vec<u64> = (0..r.len()?).map(|_| r.u64()).collect::<Result<_, _>>()?;
-    let ntasks = r.len()?;
-    let mut tasks = Vec::with_capacity(ntasks);
-    let mut words_buf = vec![0u64; K::WORDS];
-    for _ in 0..ntasks {
-        let entries = r.len()?;
-        let mut counts = Vec::with_capacity(entries);
-        for _ in 0..entries {
-            for w in words_buf.iter_mut() {
-                *w = r.u64()?;
-            }
-            let count = r.u64()?;
-            counts.push((K::from_word_slice(&words_buf), count));
-        }
-        tasks.push(TaskCounts { counts, ext: None });
-    }
-    if r.pos != body.len() {
-        return Err(format!(
-            "manifest has {} trailing bytes after its last field",
-            body.len() - r.pos
-        ));
-    }
-    Ok(Manifest {
-        rank,
-        ranks,
-        fingerprint,
-        epoch,
-        prev_epoch,
-        rounds_total,
-        sizes_hash,
-        received_records,
-        precounted_records,
-        histogram,
-        decoded,
-        task_sizes,
-        tasks,
-    })
+    wire::from_bytes(body)
+        .ok_or_else(|| "malformed manifest body (truncated, oversized or trailing bytes)".into())
 }
 
 /// Write one manifest torn-write-safe: temp file → fsync → rename. The configured
@@ -394,35 +298,43 @@ pub(crate) struct RestoredState<K: KmerCode> {
     pub precounted_records: u64,
 }
 
+/// Why a manifest chain cannot be restored.
+enum ChainError {
+    /// A manifest on the chain was written by a different run configuration.
+    Foreign(String),
+    /// A manifest on the chain is missing, corrupt, torn or badly linked.
+    Unusable(String),
+}
+
 /// Load and fully validate the manifest chain of `rank` headed at `head`, returning
-/// the manifests oldest-first. Any parse failure, identity mismatch or broken link is
-/// an error naming the defect.
+/// the manifests oldest-first. Any unseal failure, identity mismatch or broken link
+/// is an error naming the defect.
 fn load_chain<K: KmerCode>(
     dir: &Path,
     head: usize,
     rank: usize,
     ranks: usize,
     fingerprint: u64,
-) -> Result<Vec<Manifest<K>>, String> {
-    let mut chain: Vec<Manifest<K>> = Vec::new();
+) -> Result<Vec<Manifest<'static, K>>, ChainError> {
+    let mut chain = Vec::new();
     let mut next = Some(head);
     while let Some(epoch) = next {
         let path = manifest_path(dir, epoch, rank);
-        let bytes = fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let m = decode_manifest::<K>(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
+        let unusable =
+            |e: &dyn std::fmt::Display| ChainError::Unusable(format!("{}: {e}", path.display()));
+        let bytes = fs::read(&path).map_err(|e| unusable(&e))?;
+        let m = unseal::<K>(&bytes).map_err(|e| unusable(&e))?;
         if m.fingerprint != fingerprint {
-            return Err(format!(
+            return Err(ChainError::Foreign(format!(
                 "{}: written by a different run configuration",
                 path.display()
-            ));
+            )));
         }
         if m.rank != rank || m.ranks != ranks || m.epoch != epoch {
-            return Err(format!("{}: identity fields disagree", path.display()));
+            return Err(unusable(&"identity fields disagree"));
         }
-        if let Some(prev) = m.prev_epoch {
-            if prev >= epoch {
-                return Err(format!("{}: non-monotonic epoch chain", path.display()));
-            }
+        if m.prev_epoch.is_some_and(|prev| prev >= epoch) {
+            return Err(unusable(&"non-monotonic epoch chain"));
         }
         next = m.prev_epoch;
         chain.push(m);
@@ -454,34 +366,36 @@ pub(crate) fn restore<K: KmerCode>(
     epochs.sort_unstable();
     epochs.dedup();
 
-    let mut mismatch: Option<String> = None;
-    for &candidate in epochs.iter().rev() {
-        let mut all_valid = true;
+    let mut foreign: Option<String> = None;
+    'candidates: for &candidate in epochs.iter().rev() {
+        let mut own = None;
         for r in 0..ranks {
-            if let Err(e) = load_chain::<K>(dir, candidate, r, ranks, fingerprint) {
-                if e.contains("different run configuration") {
-                    mismatch.get_or_insert(e);
+            match load_chain::<K>(dir, candidate, r, ranks, fingerprint) {
+                Ok(chain) if r == rank => own = Some(chain),
+                Ok(_) => {}
+                Err(ChainError::Foreign(e)) => {
+                    foreign.get_or_insert(e);
+                    continue 'candidates;
                 }
-                all_valid = false;
-                break;
+                Err(ChainError::Unusable(e)) => {
+                    trace::vlog!(rank, "checkpoint epoch {candidate} unusable: {e}");
+                    continue 'candidates;
+                }
             }
         }
-        if !all_valid {
-            continue;
-        }
-        let chain = load_chain::<K>(dir, candidate, rank, ranks, fingerprint)?;
+        let chain = own.expect("this rank's chain is among the validated ones");
         let newest = chain.last().expect("validated chain is never empty");
         let next_round = newest.epoch + 1;
         let rounds_total = newest.rounds_total;
         let sizes_hash = newest.sizes_hash;
-        let histogram = KmerHistogram::from_buckets(newest.histogram.clone());
+        let histogram = newest.histogram.clone();
         let received_records = newest.received_records;
         let precounted_records = newest.precounted_records;
         let decoded: BTreeMap<u32, u64> = newest.decoded.iter().copied().collect();
         let mut tasks = Vec::new();
         let mut task_sizes = Vec::new();
         for m in chain {
-            tasks.extend(m.tasks);
+            tasks.extend(m.tasks.into_owned());
             task_sizes.extend(m.task_sizes);
         }
         return Ok(Some(RestoredState {
@@ -496,7 +410,7 @@ pub(crate) fn restore<K: KmerCode>(
             precounted_records,
         }));
     }
-    match mismatch {
+    match foreign {
         // No usable epoch, and at least one manifest belongs to another run: refuse
         // rather than silently starting over in a directory that was clearly meant
         // for something else.
@@ -722,21 +636,21 @@ impl<K: KmerCode> RoundCheckpointer<K> {
         let rounds = self
             .rounds_total
             .expect("set_rounds_total precedes commits");
-        let bytes = encode_manifest::<K>(
-            self.fingerprint,
-            self.rank,
-            self.ranks,
-            round,
-            self.prev_epoch,
-            rounds,
-            self.sizes_hash,
+        let bytes = seal(&Manifest {
+            fingerprint: self.fingerprint,
+            rank: self.rank,
+            ranks: self.ranks,
+            epoch: round,
+            prev_epoch: self.prev_epoch,
+            rounds_total: rounds,
+            sizes_hash: self.sizes_hash,
             received_records,
             precounted_records,
-            histogram.buckets(),
-            decoded,
-            &task_sizes[self.sizes_mark..],
-            &tasks[self.tasks_mark..],
-        );
+            histogram: histogram.clone(),
+            decoded: decoded.iter().map(|(&task, &n)| (task, n)).collect(),
+            task_sizes: task_sizes[self.sizes_mark..].to_vec(),
+            tasks: Cow::Borrowed(&tasks[self.tasks_mark..]),
+        });
         let manifest_bytes = bytes.len() as u64;
         atomic_write(&self.dir, round, self.rank, self.fault.as_deref(), &bytes)?;
         self.prev_epoch = Some(round);
@@ -763,6 +677,8 @@ mod tests {
     use hysortk_dna::kmer::Kmer1;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hysortk_ckpt_{}_{tag}", std::process::id()));
@@ -771,34 +687,118 @@ mod tests {
         dir
     }
 
-    type ManifestFields = (
-        Vec<u64>,
-        BTreeMap<u32, u64>,
-        Vec<u64>,
-        Vec<TaskCounts<Kmer1>>,
-    );
+    /// Largest single allocation request made on this thread while armed.
+    struct PeakAlloc;
 
-    fn random_manifest_fields(rng: &mut StdRng) -> ManifestFields {
-        let histogram: Vec<u64> = (0..rng.gen_range(2..20)).map(|_| rng.gen()).collect();
+    thread_local! {
+        static PEAK: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    fn note_allocation(size: usize) {
+        let _ = PEAK.try_with(|peak| {
+            if let Some(max) = peak.get() {
+                peak.set(Some(max.max(size)));
+            }
+        });
+    }
+
+    // SAFETY: each method (and each `unsafe` block in it) forwards its arguments
+    // unchanged to `System`, so the caller's `GlobalAlloc` contract is exactly what
+    // `System` requires. The bookkeeping touches only a thread-local `Cell`, which
+    // never allocates.
+    unsafe impl GlobalAlloc for PeakAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note_allocation(layout.size());
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note_allocation(layout.size());
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note_allocation(new_size);
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: PeakAlloc = PeakAlloc;
+
+    /// Run `f` and return its result with the largest allocation it requested.
+    fn peak_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        PEAK.set(Some(0));
+        let out = f();
+        (out, PEAK.replace(None).expect("armed above"))
+    }
+
+    fn random_kmer(rng: &mut StdRng) -> Kmer1 {
+        (0..21).fold(Kmer1::zero(), |km, _| km.push_base(21, rng.gen_range(0..4)))
+    }
+
+    /// A histogram of `cap` buckets holding one distinct k-mer per multiplicity.
+    fn histogram_of(cap: usize, counts: impl IntoIterator<Item = u64>) -> KmerHistogram {
+        let mut histogram = KmerHistogram::new(cap);
+        counts.into_iter().for_each(|c| histogram.record(c));
+        histogram
+    }
+
+    fn random_manifest(rng: &mut StdRng) -> Manifest<'static, Kmer1> {
+        let rank = rng.gen_range(0..16);
+        let epoch = rng.gen_range(0..1000);
         let decoded: BTreeMap<u32, u64> = (0..rng.gen_range(0..10))
             .map(|_| (rng.gen_range(0..100u32), rng.gen()))
             .collect();
-        let sizes: Vec<u64> = (0..rng.gen_range(0..8)).map(|_| rng.gen()).collect();
         let tasks: Vec<TaskCounts<Kmer1>> = (0..rng.gen_range(0..6))
-            .map(|_| {
-                let counts = (0..rng.gen_range(0..12))
-                    .map(|_| {
-                        let mut km = Kmer1::zero();
-                        for _ in 0..21 {
-                            km = km.push_base(21, rng.gen_range(0..4));
-                        }
-                        (km, rng.gen())
-                    })
-                    .collect();
-                TaskCounts { counts, ext: None }
+            .map(|_| TaskCounts {
+                counts: (0..rng.gen_range(0..12))
+                    .map(|_| (random_kmer(rng), rng.gen()))
+                    .collect(),
+                ext: None,
             })
             .collect();
-        (histogram, decoded, sizes, tasks)
+        Manifest {
+            fingerprint: rng.gen(),
+            rank,
+            ranks: rng.gen_range(rank + 1..20),
+            epoch,
+            prev_epoch: (epoch > 0 && rng.gen_bool(0.7)).then(|| rng.gen_range(0..epoch)),
+            rounds_total: epoch + 1,
+            sizes_hash: rng.gen(),
+            received_records: rng.gen(),
+            precounted_records: rng.gen(),
+            histogram: histogram_of(
+                rng.gen_range(2..20),
+                (0..rng.gen_range(0..40)).map(|_| rng.gen_range(1..30)),
+            ),
+            decoded: decoded.into_iter().collect(),
+            task_sizes: (0..rng.gen_range(0..8)).map(|_| rng.gen()).collect(),
+            tasks: Cow::Owned(tasks),
+        }
+    }
+
+    fn assert_manifests_eq(got: &Manifest<'_, Kmer1>, want: &Manifest<'_, Kmer1>) {
+        assert_eq!(got.fingerprint, want.fingerprint);
+        assert_eq!(got.rank, want.rank);
+        assert_eq!(got.ranks, want.ranks);
+        assert_eq!(got.epoch, want.epoch);
+        assert_eq!(got.prev_epoch, want.prev_epoch);
+        assert_eq!(got.rounds_total, want.rounds_total);
+        assert_eq!(got.sizes_hash, want.sizes_hash);
+        assert_eq!(got.received_records, want.received_records);
+        assert_eq!(got.precounted_records, want.precounted_records);
+        assert_eq!(got.histogram, want.histogram);
+        assert_eq!(got.decoded, want.decoded);
+        assert_eq!(got.task_sizes, want.task_sizes);
+        assert_eq!(got.tasks.len(), want.tasks.len());
+        for (got, want) in got.tasks.iter().zip(want.tasks.iter()) {
+            assert_eq!(got.counts, want.counts);
+        }
     }
 
     #[test]
@@ -807,135 +807,156 @@ mod tests {
         // decode back to exactly what was encoded.
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
         for case in 0..40 {
-            let (histogram, decoded, sizes, tasks) = random_manifest_fields(&mut rng);
-            let rank = rng.gen_range(0..16);
-            let ranks = rng.gen_range(rank + 1..20);
-            let epoch = rng.gen_range(0..1000);
-            let prev = if epoch > 0 && rng.gen_bool(0.7) {
-                Some(rng.gen_range(0..epoch))
-            } else {
-                None
-            };
-            let fingerprint = rng.gen();
-            let sizes_hash = rng.gen();
-            let received = rng.gen();
-            let precounted = rng.gen();
-            let bytes = encode_manifest::<Kmer1>(
-                fingerprint,
-                rank,
-                ranks,
-                epoch,
-                prev,
-                epoch + 1,
-                sizes_hash,
-                received,
-                precounted,
-                &histogram,
-                &decoded,
-                &sizes,
-                &tasks,
-            );
-            let m = decode_manifest::<Kmer1>(&bytes).unwrap_or_else(|e| panic!("case {case}: {e}"));
-            assert_eq!(m.rank, rank);
-            assert_eq!(m.ranks, ranks);
-            assert_eq!(m.epoch, epoch);
-            assert_eq!(m.prev_epoch, prev);
-            assert_eq!(m.fingerprint, fingerprint);
-            assert_eq!(m.sizes_hash, sizes_hash);
-            assert_eq!(m.received_records, received);
-            assert_eq!(m.precounted_records, precounted);
-            assert_eq!(m.histogram, histogram);
-            assert_eq!(
-                m.decoded,
-                decoded.iter().map(|(&t, &i)| (t, i)).collect::<Vec<_>>()
-            );
-            assert_eq!(m.task_sizes, sizes);
-            assert_eq!(m.tasks.len(), tasks.len());
-            for (got, want) in m.tasks.iter().zip(&tasks) {
-                assert_eq!(got.counts, want.counts);
-            }
+            let want = random_manifest(&mut rng);
+            let got = unseal::<Kmer1>(&seal(&want)).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            assert_manifests_eq(&got, &want);
         }
     }
 
     #[test]
     fn every_single_bit_flip_is_detected() {
         let mut rng = StdRng::seed_from_u64(7);
-        let (histogram, decoded, sizes, tasks) = random_manifest_fields(&mut rng);
-        let bytes = encode_manifest::<Kmer1>(
-            11,
-            0,
-            2,
-            3,
-            Some(1),
-            5,
-            22,
-            33,
-            44,
-            &histogram,
-            &decoded,
-            &sizes,
-            &tasks,
-        );
-        decode_manifest::<Kmer1>(&bytes).unwrap();
+        let bytes = seal(&random_manifest(&mut rng));
+        unseal::<Kmer1>(&bytes).unwrap();
         // Flip one bit in a spread of positions, including the checksum itself.
         for pos in (0..bytes.len()).step_by(7).chain([bytes.len() - 1]) {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x10;
             assert!(
-                decode_manifest::<Kmer1>(&corrupt).is_err(),
+                unseal::<Kmer1>(&corrupt).is_err(),
                 "flip at byte {pos} went undetected"
             );
         }
         // Truncation, including into the checksum trailer.
         for cut in [1, 4, bytes.len() / 2, bytes.len() - 2] {
-            assert!(decode_manifest::<Kmer1>(&bytes[..cut]).is_err());
+            assert!(unseal::<Kmer1>(&bytes[..cut]).is_err());
         }
+    }
+
+    /// Wrap `body` in an envelope whose checksum is valid, whatever the body holds.
+    fn reseal(version: u32, words: usize, body: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        version.encode(&mut out);
+        words.encode(&mut out);
+        out.extend_from_slice(body);
+        let checksum = checksum32(&out);
+        checksum.encode(&mut out);
+        out
+    }
+
+    /// Unseal `bytes`, which must be rejected, and check that no single allocation
+    /// exceeded the input — apart from the rejection message itself.
+    fn assert_rejected(bytes: &[u8], what: &str) -> String {
+        let (result, peak) = peak_allocation(|| unseal::<Kmer1>(bytes).map(drop));
+        let err = result.expect_err(what);
+        assert!(
+            peak <= bytes.len().max(err.len()),
+            "{what}: a {}-byte input allocated {peak} bytes",
+            bytes.len()
+        );
+        err
+    }
+
+    #[test]
+    fn malformed_bodies_under_a_valid_checksum_are_rejected_without_overallocating() {
+        let mut rng = StdRng::seed_from_u64(0xBAD);
+        let decoded: Vec<(u32, u64)> = (0..5).map(|t| (t, 100 + u64::from(t))).collect();
+        let manifest = Manifest::<Kmer1> {
+            fingerprint: 42,
+            rank: 1,
+            ranks: 2,
+            epoch: 3,
+            prev_epoch: Some(1),
+            rounds_total: 4,
+            sizes_hash: 99,
+            received_records: 1000,
+            precounted_records: 7,
+            histogram: histogram_of(4, [1, 1, 2, 3, 9]),
+            decoded,
+            task_sizes: vec![300, 400, 300],
+            tasks: Cow::Owned(
+                [10, 0, 20]
+                    .map(|n| TaskCounts {
+                        counts: (0..n).map(|_| (random_kmer(&mut rng), rng.gen())).collect(),
+                        ext: None,
+                    })
+                    .to_vec(),
+            ),
+        };
+        let body = wire::to_bytes(&manifest);
+        let (decoded, peak) = peak_allocation(|| unseal::<Kmer1>(&reseal(VERSION, 1, &body)));
+        assert_manifests_eq(&decoded.unwrap(), &manifest);
+        assert!(
+            peak > 0,
+            "the allocation probe must see the decode's allocations"
+        );
+
+        for cut in 0..body.len() {
+            assert_rejected(&reseal(VERSION, 1, &body[..cut]), &format!("cut at {cut}"));
+        }
+
+        // Every length prefix of the body, claiming u64::MAX elements. Nine 8-byte
+        // fields and the `Some` tag of `prev_epoch` precede the histogram.
+        let histogram_at = 9 * 8 + 1;
+        let decoded_at = histogram_at + 8 + 8 * 4;
+        let sizes_at = decoded_at + 8 + 12 * 5;
+        let tasks_at = sizes_at + 8 + 8 * 3;
+        let first_counts_at = tasks_at + 8;
+        for (at, len) in [
+            (histogram_at, 4u64),
+            (decoded_at, 5),
+            (sizes_at, 3),
+            (tasks_at, 3),
+            (first_counts_at, 10),
+        ] {
+            assert_eq!(body[at..at + 8], len.to_le_bytes(), "length prefix at {at}");
+            let mut bad = body.clone();
+            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert_rejected(
+                &reseal(VERSION, 1, &bad),
+                &format!("u64::MAX length at {at}"),
+            );
+        }
+
+        let err = assert_rejected(&reseal(VERSION, 2, &body), "two-word k-mers");
+        assert!(err.contains("manifest stores 2-word k-mers"), "{err}");
+
+        let mut trailing = body.clone();
+        trailing.push(0);
+        assert_rejected(&reseal(VERSION, 1, &trailing), "one trailing byte");
     }
 
     /// Write a small two-epoch chain for `ranks` ranks: epoch 0 (one task) and
     /// epoch `head` linking back to it.
     fn write_chain(dir: &Path, ranks: usize, fingerprint: u64, head: usize) {
         for rank in 0..ranks {
-            let task = TaskCounts::<Kmer1> {
-                counts: vec![(Kmer1::zero(), 5 + rank as u64)],
-                ext: None,
-            };
-            let bytes = encode_manifest::<Kmer1>(
+            let manifest = |epoch, prev_epoch, seen: u64, count: u64| Manifest::<Kmer1> {
                 fingerprint,
                 rank,
                 ranks,
-                0,
-                None,
-                head + 1,
-                99,
-                10,
-                0,
-                &[0, 1],
-                &BTreeMap::from([(0u32, 1u64)]),
-                &[1],
-                std::slice::from_ref(&task),
-            );
-            atomic_write(dir, 0, rank, None, &bytes).unwrap();
-            let task2 = TaskCounts::<Kmer1> {
-                counts: vec![(Kmer1::zero(), 100 + rank as u64)],
-                ext: None,
+                epoch,
+                prev_epoch,
+                rounds_total: head + 1,
+                sizes_hash: 99,
+                received_records: 10 * seen,
+                precounted_records: 0,
+                histogram: histogram_of(2, [seen]),
+                decoded: vec![(0, seen)],
+                task_sizes: vec![seen],
+                tasks: Cow::Owned(vec![TaskCounts {
+                    counts: vec![(Kmer1::zero(), count + rank as u64)],
+                    ext: None,
+                }]),
             };
-            let bytes = encode_manifest::<Kmer1>(
-                fingerprint,
-                rank,
-                ranks,
+            atomic_write(dir, 0, rank, None, &seal(&manifest(0, None, 1, 5))).unwrap();
+            atomic_write(
+                dir,
                 head,
-                Some(0),
-                head + 1,
-                99,
-                20,
-                0,
-                &[0, 2],
-                &BTreeMap::from([(0u32, 2u64)]),
-                &[2],
-                std::slice::from_ref(&task2),
-            );
-            atomic_write(dir, head, rank, None, &bytes).unwrap();
+                rank,
+                None,
+                &seal(&manifest(head, Some(0), 2, 100)),
+            )
+            .unwrap();
         }
     }
 
@@ -1004,6 +1025,28 @@ mod tests {
         bytes[10] ^= 0x01;
         fs::write(&victim, &bytes).unwrap();
         assert!(restore::<Kmer1>(&dir, 1, 2, 42).unwrap().is_none());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_one_manifests_fall_back_to_a_fresh_start() {
+        // A manifest from an older build has a valid checksum but the previous
+        // envelope version: it is unusable, never misread, and restore recounts.
+        let dir = tmp_dir("version1");
+        write_chain(&dir, 2, 42, 1);
+        for epoch in [0, 1] {
+            for rank in 0..2 {
+                let path = manifest_path(&dir, epoch, rank);
+                let bytes = fs::read(&path).unwrap();
+                let old = reseal(1, 1, &bytes[16..bytes.len() - 4]);
+                let err = unseal::<Kmer1>(&old)
+                    .err()
+                    .expect("version 1 must not unseal");
+                assert_eq!(err, "unsupported manifest version 1");
+                fs::write(&path, old).unwrap();
+            }
+        }
+        assert!(restore::<Kmer1>(&dir, 0, 2, 42).unwrap().is_none());
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -44,7 +44,9 @@ use crate::error::HysortkError;
 use crate::ingest::{run_count, ReadSource};
 use crate::result::{CountResult, KmerHistogram, RunReport, StageWallTimes};
 use crate::stage3::{self, CountParams};
-use crate::wire::{write_block, write_records_uncompressed, SupermerBlockWriter, TaskPayload};
+use crate::wire::{
+    self, write_block, write_records_uncompressed, SupermerBlockWriter, TaskPayload,
+};
 
 /// Measured wall-clock seconds of one rank, bucketed by pipeline stage. The
 /// buckets are accumulated with plain `Instant` deltas at a handful of sites
@@ -212,18 +214,13 @@ impl Wire for RankCounters {
 }
 
 /// Codec carrying a rank's entire output home from a forked rank process.
-/// K-mer codes travel as their packed words (`K::WORDS` per code), extensions
-/// as their fixed 8-byte encoding — the same representations the exchange wire
-/// format uses, so the process backend adds no new byte-level invariants.
+/// Counts travel in the crate's one count-list codec (`wire::encode_counts`),
+/// extensions as their fixed 8-byte encoding — the same representations the
+/// exchange wire format uses, so the process backend adds no new byte-level
+/// invariants.
 impl<K: KmerCode> Wire for RankOutput<K> {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.counts.len() as u64).encode(out);
-        for (code, count) in &self.counts {
-            for &w in code.word_slice() {
-                w.encode(out);
-            }
-            count.encode(out);
-        }
+        wire::encode_counts(&self.counts, out);
         match &self.extensions {
             None => false.encode(out),
             Some(per_kmer) => {
@@ -242,15 +239,7 @@ impl<K: KmerCode> Wire for RankOutput<K> {
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        let n = u64::decode(input)? as usize;
-        let mut counts = Vec::with_capacity(n.min(input.len() / 8));
-        let mut words = vec![0u64; K::WORDS];
-        for _ in 0..n {
-            for w in &mut words {
-                *w = u64::decode(input)?;
-            }
-            counts.push((K::from_word_slice(&words), u64::decode(input)?));
-        }
+        let counts = wire::decode_counts(input)?;
         let extensions = if bool::decode(input)? {
             let kmers = u64::decode(input)? as usize;
             let mut per_kmer = Vec::with_capacity(kmers.min(input.len()));

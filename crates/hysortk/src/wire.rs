@@ -189,11 +189,11 @@ impl hysortk_dmem::Wire for WireError {
     }
 }
 
-/// Checksum guarding each task block: a multiply–rotate hash folded to 32 bits,
-/// appended after the payload by every writer and verified by [`read_blocks`]. Not
-/// cryptographic — it exists so a bit flipped in flight surfaces as
-/// [`WireError::Checksum`] instead of a silently wrong histogram.
-fn wire_checksum(bytes: &[u8]) -> u32 {
+/// The crate's one byte checksum: a multiply–rotate fold over little-endian 64-bit
+/// words (the tail zero-padded), finished with the byte length. Not cryptographic,
+/// but any single bit flip, truncation or length change moves it. Checkpoint
+/// manifests, the task-size hash and the run fingerprint use it at full width.
+pub(crate) fn checksum64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
@@ -208,13 +208,21 @@ fn wire_checksum(bytes: &[u8]) -> u32 {
             .wrapping_mul(0x0100_0000_01b3)
             .rotate_left(23);
     }
-    h ^= bytes.len() as u64;
+    h ^ bytes.len() as u64
+}
+
+/// [`checksum64`] folded to 32 bits: the trailer guarding each task block (appended
+/// after the payload by every writer and verified by [`read_blocks`], so a bit
+/// flipped in flight surfaces as [`WireError::Checksum`] instead of a silently wrong
+/// histogram) and each checkpoint manifest.
+pub(crate) fn checksum32(bytes: &[u8]) -> u32 {
+    let h = checksum64(bytes);
     (h ^ (h >> 32)) as u32
 }
 
 /// Append the checksum of `out[block_start..]` — call once per finished block.
 fn seal_block(out: &mut Vec<u8>, block_start: usize) {
-    let sum = wire_checksum(&out[block_start..]);
+    let sum = checksum32(&out[block_start..]);
     push_u32(out, sum);
 }
 
@@ -285,6 +293,42 @@ fn read_kmer<K: KmerCode>(buf: &[u8], pos: &mut usize) -> Option<K> {
 /// Wire bytes of one k-mer.
 fn kmer_wire_bytes<K: KmerCode>() -> usize {
     K::WORDS * 8
+}
+
+/// Append a `(k-mer, count)` list as a `dmem::wire` value: a `u64` length, then per
+/// entry the k-mer's packed words and its count. This is the crate's one count-list
+/// codec — a forked rank's result and a checkpoint manifest's counted tasks both
+/// travel in it. (`K` is a foreign type, so it cannot carry a `Wire` impl itself.)
+pub(crate) fn encode_counts<K: KmerCode>(counts: &[(K, u64)], out: &mut Vec<u8>) {
+    out.reserve(8 + counts.len() * (kmer_wire_bytes::<K>() + 8));
+    push_u64(out, counts.len() as u64);
+    for (kmer, count) in counts {
+        push_kmer(out, kmer);
+        push_u64(out, *count);
+    }
+}
+
+/// Decode a list written by [`encode_counts`] from the front of `input`, advancing
+/// it. The whole list must be present before anything is allocated, so a corrupt
+/// length allocates nothing.
+pub(crate) fn decode_counts<K: KmerCode>(input: &mut &[u8]) -> Option<Vec<(K, u64)>> {
+    let mut pos = 0;
+    let n = usize::try_from(read_u64(input, &mut pos)?).ok()?;
+    let stride = kmer_wire_bytes::<K>() + 8;
+    let end = n
+        .checked_mul(stride)
+        .and_then(|b| b.checked_add(pos))
+        .filter(|&end| end <= input.len())?;
+    let counts = input[pos..end]
+        .chunks_exact(stride)
+        .map(|entry| {
+            let mut at = 0;
+            let kmer = read_kmer::<K>(entry, &mut at).expect("entry holds a k-mer");
+            (kmer, read_u64(entry, &mut at).expect("entry holds a count"))
+        })
+        .collect();
+    *input = &input[end..];
+    Some(counts)
 }
 
 /// Serialise one task block into `out`, sealed with a trailing checksum.
@@ -820,7 +864,7 @@ pub fn read_blocks<K: KmerCode>(buf: &[u8]) -> Result<Vec<TaskBlockView<'_, K>>,
         };
         let body_end = pos;
         let declared = read_u32(buf, &mut pos).ok_or(WireError::Truncated { offset: pos })?;
-        if wire_checksum(&buf[block_start..body_end]) != declared {
+        if checksum32(&buf[block_start..body_end]) != declared {
             return Err(WireError::Checksum {
                 task,
                 offset: block_start,
@@ -847,6 +891,56 @@ mod tests {
     use hysortk_dna::readset::Read;
     use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
     use hysortk_supermer::supermer::build_supermers;
+
+    #[test]
+    fn checksum_values_are_pinned() {
+        // Every sealed task block and checkpoint manifest carries these folds, so a
+        // changed value would change their bytes. The input's 35 bytes exercise the
+        // zero-padded tail word.
+        let bytes = b"HySortK checksum pin: ACGTACGTACGTA";
+        assert_eq!(checksum64(bytes), 0x3fe5_30e2_c1d9_c601);
+        assert_eq!(checksum32(bytes), 0xfe3c_f6e3);
+        assert_eq!(checksum32(b""), 0xe17d_05ac);
+    }
+
+    #[test]
+    fn count_lists_keep_their_layout_and_reject_malformed_lengths() {
+        let kmer = Kmer2::from_ascii(b"ACGTACGTACGTACGTACGTACGTACGTACGTACGTA");
+        let list = vec![(kmer, 7u64), (Kmer2::zero(), u64::MAX)];
+        let mut bytes = Vec::new();
+        encode_counts(&list, &mut bytes);
+        // A `u64` length, then each entry's packed words and its count.
+        let mut want = 2u64.to_le_bytes().to_vec();
+        for (kmer, count) in &list {
+            for w in kmer.word_slice() {
+                want.extend_from_slice(&w.to_le_bytes());
+            }
+            want.extend_from_slice(&count.to_le_bytes());
+        }
+        assert_eq!(bytes, want);
+
+        bytes.push(0xAA);
+        let mut input = &bytes[..];
+        assert_eq!(decode_counts::<Kmer2>(&mut input), Some(list));
+        assert_eq!(input, [0xAA], "decoding stops after the list");
+
+        for cut in 0..bytes.len() - 1 {
+            assert_eq!(
+                decode_counts::<Kmer2>(&mut &bytes[..cut]),
+                None,
+                "cut at {cut}"
+            );
+        }
+        for len in [3, u64::MAX / 24 + 1, u64::MAX] {
+            let mut lying = bytes.clone();
+            lying[..8].copy_from_slice(&len.to_le_bytes());
+            assert_eq!(
+                decode_counts::<Kmer2>(&mut &lying[..]),
+                None,
+                "length {len}"
+            );
+        }
+    }
 
     #[test]
     fn supermer_blocks_round_trip() {

@@ -2,7 +2,7 @@
 //!
 //! HySortK replaces the distributed hash table with "sort the receive buffer, then scan
 //! it linearly" (paper §3.1). Two radix sorts are provided, mirroring the two the paper
-//! uses, plus the comparison-based sample sort used by the kmerind sorting variant:
+//! uses:
 //!
 //! * [`paradis::paradis_sort_by`] — an **in-place MSD** radix sort modelled on PARADIS
 //!   (Cho et al., VLDB 2015): speculative parallel permutation into bucket stripes, a
@@ -11,8 +11,6 @@
 //! * [`raduls::raduls_sort_by`] — an **out-of-place LSD** radix sort modelled on RADULS
 //!   (Kokot et al., BDAS 2017): per-chunk histograms, stable parallel scatter between
 //!   ping-pong buffers. Faster, but needs a second buffer of the same size.
-//! * [`samplesort::sample_sort_by_key`] — a comparison-based parallel sample sort, the
-//!   strategy the paper attributes to the sorting variant of kmerind.
 //!
 //! Two kinds of entry points are provided:
 //!
@@ -34,12 +32,10 @@
 pub mod paradis;
 pub mod raduls;
 pub mod runs;
-pub mod samplesort;
 
 pub use paradis::{paradis_sort, paradis_sort_by, paradis_sort_from};
 pub use raduls::{raduls_sort, raduls_sort_by, raduls_sort_with_aux};
 pub use runs::{count_sorted_runs, for_each_sorted_run, kway_merge_by_key, merge_runs_with_counts};
-pub use samplesort::sample_sort_by_key;
 
 /// Keys that can expose themselves as raw big-endian `u64` words, enabling the
 /// monomorphized radix kernels.

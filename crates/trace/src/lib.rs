@@ -236,7 +236,7 @@ pub fn set_thread_capacity(events: usize) {
 // ---------------------------------------------------------------------------
 
 /// RAII span guard: records the matching end event when dropped. Obtained
-/// from [`span`] / [`span_with`]; inert (a bool check) when tracing was
+/// from [`span()`] / [`span_with`]; inert (a bool check) when tracing was
 /// disabled at construction.
 #[must_use = "a span measures the scope it is bound to; dropping it immediately records an empty span"]
 pub struct SpanGuard {

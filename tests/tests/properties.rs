@@ -8,9 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hysortk_dna::{DnaSeq, Extension, Kmer1, Kmer2, ReadSet};
-use hysortk_sort::{
-    paradis_sort, paradis_sort_by, raduls_sort, raduls_sort_by, sample_sort_by_key,
-};
+use hysortk_sort::{paradis_sort, paradis_sort_by, raduls_sort, raduls_sort_by};
 use hysortk_supermer::codec::{decode_extensions, encode_extensions};
 use hysortk_supermer::minimizer::{minimizers_deque, minimizers_naive};
 use hysortk_supermer::mmer::{MmerScorer, ScoreFunction};
@@ -173,19 +171,6 @@ fn monomorphized_kernels_match_closure_paths_on_u128_records() {
         expected.sort_unstable();
         kernel.sort_unstable();
         assert_eq!(kernel, expected, "paradis kernel diverged (n = {n})");
-    }
-}
-
-#[test]
-fn sample_sort_agrees_with_std_sort() {
-    let mut rng = StdRng::seed_from_u64(109);
-    for _ in 0..32 {
-        let n = rng.gen_range(0..3000usize);
-        let mut v: Vec<u32> = (0..n).map(|_| rng.gen()).collect();
-        let mut expected = v.clone();
-        expected.sort_unstable();
-        sample_sort_by_key(&mut v, 4, |x| *x);
-        assert_eq!(v, expected);
     }
 }
 
